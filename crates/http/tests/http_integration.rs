@@ -380,6 +380,45 @@ fn navigate_and_ops_routes_answer_typed_bodies() {
     handle.shutdown();
 }
 
+/// A reload publishes a warm generation: `/ops/stats` reports the L2
+/// entries the swap carried, and the carried query hits on the new
+/// generation without another batch cycle.
+#[test]
+fn ops_stats_reports_swap_warmed_after_reload() {
+    let (system, handle) = start_default();
+    let mut client = HttpClient::connect(handle.addr()).unwrap();
+    let serve = |client: &mut HttpClient| {
+        let resp = client
+            .request(
+                "POST",
+                "/v1/serve-intents",
+                &ServeRequest::new("air mattress").to_json(),
+            )
+            .unwrap();
+        ServeResponse::from_json(&resp.body).unwrap()
+    };
+    assert_eq!(serve(&mut client).layer, None, "first request misses");
+    system.run_batch_cycle().unwrap();
+    assert!(serve(&mut client).layer.is_some(), "filled into L2");
+
+    let dir = std::env::temp_dir().join(format!("cosmo_warm_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("warm.kg2");
+    test_kg().freeze().save_v2(&path).unwrap();
+    let body = format!("{{\"path\":{:?}}}", path.display().to_string());
+    let resp = client.request("POST", "/ops/reload", &body).unwrap();
+    assert_eq!(resp.status, 200, "reload failed: {}", resp.body);
+
+    let resp = client.request("GET", "/ops/stats", "").unwrap();
+    let ops = OpsStats::from_json(&resp.body).unwrap();
+    assert_eq!((ops.snapshot_generation, ops.swap_warmed), (2, 1));
+    let hit = serve(&mut client);
+    assert_eq!(hit.snapshot_generation, 2);
+    assert!(hit.layer.is_some(), "carried entry hits without a cycle");
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Shutdown must drain: every connection queued before shutdown gets its
 /// answer, and in-flight keep-alive connections are closed politely
 /// (`connection: close` on the final response), not reset.

@@ -248,7 +248,14 @@ impl CacheStore {
         let shard = self.shard_of(query);
         if let Some(f) = shard.l2.read().map.get(query) {
             self.metrics.l2_hits.fetch_add(1, Ordering::Relaxed);
-            *shard.hits.lock().entry(query.to_string()).or_insert(0) += 1;
+            // Held under the l2 read guard, so the count can only be
+            // created for a key that is in L2 (install drops it on evict).
+            let mut hits = shard.hits.lock();
+            if let Some(n) = hits.get_mut(query) {
+                *n += 1;
+            } else {
+                hits.insert(query.to_string(), 1);
+            }
             return CacheLookup::Hit(f.clone(), CacheLayer::L2);
         }
         self.metrics.misses.fetch_add(1, Ordering::Relaxed);
@@ -350,7 +357,9 @@ impl CacheStore {
                 continue;
             }
             // PANIC: by_shard was built with exactly shards.len() buckets
-            let mut l2 = self.shards[idx].l2.write();
+            let shard = &self.shards[idx];
+            let mut l2 = shard.l2.write();
+            let mut evicted = Vec::new();
             for f in batch {
                 if l2.map.insert(f.query.clone(), f.clone()).is_none() {
                     l2.order.push_back(f.query.clone());
@@ -360,9 +369,30 @@ impl CacheStore {
                         break;
                     };
                     l2.map.remove(&oldest);
+                    evicted.push(oldest);
+                }
+            }
+            if !evicted.is_empty() {
+                // l2-then-hits, the read path's order: an evicted key's
+                // count goes with it, so the map stays bounded by L2.
+                let mut hits = shard.hits.lock();
+                for key in &evicted {
+                    hits.remove(key);
                 }
             }
         }
+    }
+
+    /// Every L2 query, shard by shard (ascending index), each shard in
+    /// insertion (eviction) order — the order [`CacheStore::install`]
+    /// must replay to rebuild the same FIFO state in a cache of the same
+    /// shape.
+    pub(crate) fn l2_queries(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            out.extend(shard.l2.read().order.iter().cloned());
+        }
+        out
     }
 
     /// Daily refresh: promote the hottest L2 entries (across all shards)
@@ -629,6 +659,51 @@ mod tests {
         cache.install(vec![Arc::new(feat("c")), Arc::new(feat("d"))]);
         assert_eq!(cache.sizes().1, 2);
         assert!(cache.get("d").is_some());
+    }
+
+    #[test]
+    fn hit_counts_stay_bounded_by_l2() {
+        let cfg = CacheConfig {
+            l2_capacity: 16,
+            shards: 4,
+            ..CacheConfig::default()
+        };
+        let cache = CacheStore::new(vec![], cfg);
+        for i in 0..1000 {
+            let q = format!("q{i}");
+            cache.install(vec![Arc::new(feat(&q))]);
+            assert_eq!(cache.get(&q).map(|(_, layer)| layer), Some(CacheLayer::L2));
+        }
+        let counted: usize = cache.shards.iter().map(|s| s.hits.lock().len()).sum();
+        let (_, l2) = cache.sizes();
+        assert!(l2 <= 16);
+        assert!(
+            counted <= l2,
+            "{counted} hit counts kept for {l2} L2 entries"
+        );
+    }
+
+    #[test]
+    fn l2_queries_replay_into_identical_fifo_state() {
+        let cfg = CacheConfig {
+            l2_capacity: 8,
+            shards: 2,
+            ..CacheConfig::default()
+        };
+        let cache = CacheStore::new(vec![], cfg.clone());
+        for i in 0..20 {
+            cache.install(vec![Arc::new(feat(&format!("q{i}")))]);
+        }
+        let queries = cache.l2_queries();
+        assert_eq!(queries.len(), cache.sizes().1);
+        let copy = CacheStore::new(vec![], cfg);
+        copy.install(queries.iter().map(|q| Arc::new(feat(q))).collect());
+        assert_eq!(copy.l2_queries(), queries);
+        // the next install evicts the same entry from both
+        for c in [&cache, &copy] {
+            c.install(vec![Arc::new(feat("new")), Arc::new(feat("newer"))]);
+        }
+        assert_eq!(copy.l2_queries(), cache.l2_queries());
     }
 
     #[test]

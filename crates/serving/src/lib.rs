@@ -60,9 +60,11 @@
 //! Graph-derived state (the [`cosmo_kg::KgSnapshotView`], cache, and
 //! feature store) is bundled into an immutable [`SnapshotGeneration`]
 //! behind an RCU-style [`SnapshotHandle`]. `ServingSystem::swap_snapshot`
-//! builds the whole next generation off to the side and publishes it with
-//! one pointer store, so the daily refresh can replace the graph under
-//! live traffic with zero dropped requests — see the [`swap`] module.
+//! builds the whole next generation off to the side — its L2 warmed by
+//! recomputing the outgoing L2 queries against the new graph — and
+//! publishes it with one pointer store, so the daily refresh can replace
+//! the graph under live traffic with zero dropped requests and without a
+//! cold daily layer — see the [`swap`] module.
 
 #![forbid(unsafe_code)]
 

@@ -1011,6 +1011,9 @@ pub struct OpsStats {
     /// Snapshot generation currently serving (appended field — decoders
     /// default it to 0).
     pub snapshot_generation: u64,
+    /// L2 entries the swap that built the serving generation carried in
+    /// from the previous one (appended field — decoders default it to 0).
+    pub swap_warmed: usize,
 }
 
 impl OpsStats {
@@ -1060,9 +1063,10 @@ impl OpsStats {
         }
         out.push_str(&format!("],\"features\":{}", self.features));
         out.push_str(&format!(
-            ",\"snapshot_generation\":{}}}",
+            ",\"snapshot_generation\":{}",
             self.snapshot_generation
         ));
+        out.push_str(&format!(",\"swap_warmed\":{}}}", self.swap_warmed));
         out
     }
 
@@ -1128,6 +1132,7 @@ impl OpsStats {
             latency_buckets,
             features: req_u64(&v, "features")? as usize,
             snapshot_generation: opt_u64(&v, "snapshot_generation", 0)?,
+            swap_warmed: opt_u64(&v, "swap_warmed", 0)? as usize,
         })
     }
 
@@ -1397,9 +1402,21 @@ mod tests {
             latency_buckets: vec![(12, 14), (336, 2)],
             features: 17,
             snapshot_generation: 1,
+            swap_warmed: 6,
         };
         let s = ops.to_json();
         assert_eq!(OpsStats::from_json(&s).unwrap(), ops);
+        // appended fields: a pre-swap_warmed encoder's body decodes to 0
+        assert!(s.ends_with(",\"snapshot_generation\":1,\"swap_warmed\":6}"));
+        let legacy = OpsStats::from_json(&s.replace(",\"swap_warmed\":6", "")).unwrap();
+        assert_eq!(legacy.swap_warmed, 0);
+        assert_eq!(
+            OpsStats {
+                swap_warmed: 6,
+                ..legacy
+            },
+            ops
+        );
         // the render line keeps the old ops_view shape
         let line = ops.render();
         for token in [

@@ -16,13 +16,26 @@
 //! * A swap builds the *whole* next generation off to the side (load +
 //!   verify the file, recompute the preload set) and only then publishes
 //!   it with one pointer store. In-flight requests finish on the old
-//!   generation, which is freed when its last `Arc` drops; late batch
-//!   installs into a stale generation die with it by design.
+//!   generation, which is freed when its last `Arc` drops.
+//! * The swap is **warm**: before publishing, the outgoing generation's
+//!   L2 queries are recomputed against the *new* view and installed into
+//!   the new L2 in the outgoing FIFO (eviction) order, and the outgoing
+//!   pending queue is re-queued into the new generation (no misses are
+//!   counted). The cost is one `compute_features_batch` over at most
+//!   `l2_capacity` queries per swap; [`SnapshotGeneration::warmed`]
+//!   reports how many entries were carried.
+//! * What does not carry: L2 hit counts restart from zero, L1 is the
+//!   configured preload again (not any promoted entries), and entries a
+//!   batch cycle installs into the outgoing generation while the next one
+//!   is being built die with it.
 //!
 //! Bundling the cache with the view is what makes the swap *correct*
 //! rather than merely atomic: a shared cache would race a generation load
 //! against a cache lookup and could serve features computed on a graph
-//! the response's generation tag disowns.
+//! the response's generation tag disowns. The warm carry keeps that
+//! invariant because it moves *queries*, never features: every carried
+//! entry is computed afresh on the new view, so it is byte-identical to
+//! what a miss plus a batch cycle on the new generation would install.
 
 use crate::cache::CacheStore;
 use crate::features::FeatureStore;
@@ -41,6 +54,9 @@ pub struct SnapshotGeneration {
     pub cache: CacheStore,
     /// The sharded feature store for this generation.
     pub features: FeatureStore,
+    /// L2 entries the swap that built this generation carried in from
+    /// the outgoing one (0 for the build-time generation).
+    pub warmed: usize,
 }
 
 /// The RCU publication point: readers clone the current generation's
@@ -84,6 +100,7 @@ mod tests {
             )),
             cache: CacheStore::new(Vec::new(), CacheConfig::default()),
             features: FeatureStore::with_shards(2),
+            warmed: 0,
         }
     }
 

@@ -368,13 +368,66 @@ impl ServingSystem {
     /// store — is built off to the side and then published with one
     /// pointer store; requests in flight finish on the generation they
     /// started on. Returns the new generation number.
+    ///
+    /// The new generation starts warm: the outgoing L2 queries are
+    /// recomputed against `view` on the worker pool and installed in the
+    /// outgoing FIFO order (one `compute_features_batch` over at most
+    /// `l2_capacity` queries), and the outgoing pending queue is
+    /// re-queued without counting misses. A warm chunk that panics is
+    /// dropped — its queries miss and refill. Hit counts restart, and
+    /// entries installed into the outgoing generation during the build
+    /// are lost. [`SnapshotGeneration::warmed`] counts what carried.
     pub fn swap_snapshot(&self, view: KgSnapshotView) -> u64 {
         let _serialised = self.swap_lock.lock();
-        let next = self.handle.load().generation + 1;
-        let generation =
+        let outgoing = self.handle.load();
+        let next = outgoing.generation + 1;
+        let mut generation =
             Self::build_generation(next, Arc::new(view), &self.preload, &self.cfg, &self.lm);
+        generation.warmed = self.carry_l2(&outgoing, &generation);
+        generation
+            .cache
+            .requeue(&outgoing.cache.drain_pending(usize::MAX));
         self.handle.publish(generation);
         next
+    }
+
+    /// Recompute `outgoing`'s L2 queries against `next`'s view and
+    /// install them into `next` in the outgoing FIFO order. Returns the
+    /// number of entries carried.
+    fn carry_l2(&self, outgoing: &SnapshotGeneration, next: &SnapshotGeneration) -> usize {
+        let queries = outgoing.cache.l2_queries();
+        let mut warmed = 0;
+        for outcome in self.compute_on_pool(&queries, self.cfg.batch_size, &next.view) {
+            if let ChunkResult::Computed { results, .. } = outcome {
+                warmed += results.len();
+                let arcs = results.into_iter().map(|f| next.features.put(f)).collect();
+                next.cache.install(arcs);
+            }
+        }
+        warmed
+    }
+
+    /// Compute features for `queries` against `view` on the persistent
+    /// worker pool, `chunk` queries per job, isolating panicking chunks.
+    fn compute_on_pool(
+        &self,
+        queries: &[String],
+        chunk: usize,
+        view: &KgSnapshotView,
+    ) -> Vec<ChunkResult<StructuredFeatures>> {
+        // Each worker scores its whole chunk through the student's batched
+        // candidate path: one generation matmul for the chunk's cold
+        // queries and one embedding matmul for the chunk, bitwise
+        // identical to the per-query formulation.
+        self.pool.try_map_slices(queries, chunk, |_, qs| {
+            #[cfg(test)]
+            assert!(
+                !qs.iter().any(|q| q == PANIC_QUERY),
+                "injected worker panic"
+            );
+            let refs: Vec<&str> = qs.iter().map(String::as_str).collect();
+            compute_features_batch(&refs, view, &self.lm)
+        })
     }
 
     /// Assemble one generation: preload features computed against *its*
@@ -398,6 +451,7 @@ impl ServingSystem {
             view,
             cache,
             features,
+            warmed: 0,
         }
     }
 
@@ -478,26 +532,14 @@ impl ServingSystem {
         // The whole cycle runs against one generation: drained queries are
         // installed into the same cache they were drained from. If a swap
         // lands mid-cycle the installs go to the retiring generation and
-        // die with it — the new generation starts from its own preload.
+        // die with it — the swap has already read the L2 set it carries.
         let generation = self.current();
         let queries = generation.cache.drain_pending(self.cfg.batch_size);
         if queries.is_empty() {
             return Ok(0);
         }
         let chunk = queries.len().div_ceil(self.cfg.workers.max(1)).max(1);
-        // Each worker scores its whole chunk through the student's batched
-        // candidate path: one generation matmul for the chunk's cold
-        // queries and one embedding matmul for the chunk, bitwise
-        // identical to the per-query formulation.
-        let outcomes = self.pool.try_map_slices(&queries, chunk, |_, qs| {
-            #[cfg(test)]
-            assert!(
-                !qs.iter().any(|q| q == PANIC_QUERY),
-                "injected worker panic"
-            );
-            let refs: Vec<&str> = qs.iter().map(String::as_str).collect();
-            compute_features_batch(&refs, &*generation.view, &self.lm)
-        });
+        let outcomes = self.compute_on_pool(&queries, chunk, &generation.view);
         let mut installed = 0usize;
         let mut failed_chunks = 0usize;
         let mut requeued = 0usize;
@@ -571,6 +613,7 @@ impl ServingSystem {
             latency_buckets: self.latency.nonzero_buckets(),
             features: generation.features.len(),
             snapshot_generation: generation.generation,
+            swap_warmed: generation.warmed,
         }
     }
 
@@ -815,6 +858,153 @@ mod tests {
         );
         // the poisoned query keeps failing but never panics the caller
         assert!(sys.run_batch_cycle().is_err());
+    }
+
+    /// A graph answering `query → intent` for each pair.
+    fn kg_of(pairs: &[(&str, &str)]) -> KnowledgeGraph {
+        use cosmo_kg::{BehaviorKind, Edge, NodeKind};
+        let mut kg = KnowledgeGraph::new();
+        for (query, intent) in pairs {
+            let head = kg.intern_node(NodeKind::Query, query);
+            let tail = kg.intern_node(NodeKind::Intention, intent);
+            kg.add_edge(Edge {
+                head,
+                relation: Relation::UsedForFunc,
+                tail,
+                behavior: BehaviorKind::SearchBuy,
+                category: 0,
+                plausibility: 0.9,
+                typicality: 0.7,
+                support: 3,
+            });
+        }
+        kg
+    }
+
+    fn view_of(kg: &KnowledgeGraph) -> KgSnapshotView {
+        KgSnapshotView::Owned(kg.freeze())
+    }
+
+    /// Wire bytes a generation-2 system over `kg` serves for `query`
+    /// after a miss and one batch cycle.
+    fn filled_body(kg: &KnowledgeGraph, query: &str) -> String {
+        let (_, lm) = parts();
+        let fresh = ServingSystem::builder()
+            .view(view_of(kg))
+            .lm(lm)
+            .workers(2)
+            .build()
+            .unwrap();
+        assert_eq!(fresh.swap_snapshot(view_of(kg)), 2);
+        let miss = fresh.handle(&ServeRequest::new(query));
+        assert_eq!(miss.status, ServeStatus::Enqueued);
+        fresh.run_batch_cycle().unwrap();
+        let hit = fresh.handle(&ServeRequest::new(query));
+        assert_eq!(hit.layer, Some(CacheLayer::L2));
+        hit.to_json()
+    }
+
+    #[test]
+    fn swap_carries_l2_recomputed_against_the_new_view() {
+        let old_kg = kg_of(&[
+            ("tent", "sleeping outdoors"),
+            ("rain jacket", "staying dry"),
+        ]);
+        // "tent" changes its answer; "rain jacket" leaves the graph (cold)
+        let new_kg = kg_of(&[("tent", "backyard camping")]);
+        let (_, lm) = parts();
+        let sys = ServingSystem::builder()
+            .view(view_of(&old_kg))
+            .lm(lm)
+            .workers(2)
+            .build()
+            .unwrap();
+        let queries = ["tent", "rain jacket", "novel query"];
+        for q in queries {
+            let _ = sys.handle(&ServeRequest::new(q));
+        }
+        assert_eq!(sys.run_batch_cycle().unwrap(), 3);
+        let before: Vec<String> = queries
+            .iter()
+            .map(|q| sys.handle(&ServeRequest::new(*q)).to_json())
+            .collect();
+
+        assert_eq!(sys.swap_snapshot(view_of(&new_kg)), 2);
+        assert_eq!(sys.current().warmed, 3);
+        assert_eq!(sys.ops().swap_warmed, 3);
+        for (q, old_body) in queries.iter().zip(&before) {
+            let served = sys.handle(&ServeRequest::new(*q));
+            assert_eq!(served.layer, Some(CacheLayer::L2), "{q} carried");
+            assert_eq!(served.to_json(), filled_body(&new_kg, q), "{q}");
+            if *q != "novel query" {
+                let old = ServeResponse::from_json(old_body).unwrap();
+                assert_ne!(
+                    served.intents, old.intents,
+                    "{q} served the old view's answer"
+                );
+            }
+        }
+        let ops = sys.ops();
+        assert_eq!((ops.l2_hits, ops.misses), (3, 0));
+    }
+
+    #[test]
+    fn pending_miss_survives_swap() {
+        let kg = kg_of(&[("tent", "sleeping outdoors")]);
+        let (_, lm) = parts();
+        let sys = ServingSystem::builder()
+            .view(view_of(&kg))
+            .lm(lm)
+            .workers(2)
+            .build()
+            .unwrap();
+        let miss = sys.handle(&ServeRequest::new("tent"));
+        assert_eq!(miss.status, ServeStatus::Enqueued);
+        sys.swap_snapshot(view_of(&kg));
+        let ops = sys.ops();
+        assert_eq!((ops.pending, ops.misses), (1, 0), "requeued, not re-missed");
+        assert_eq!(sys.run_batch_cycle().unwrap(), 1);
+        let hit = sys.handle(&ServeRequest::new("tent"));
+        assert_eq!(hit.layer, Some(CacheLayer::L2));
+        assert_eq!(hit.to_json(), filled_body(&kg, "tent"));
+    }
+
+    #[test]
+    fn panicking_warm_chunk_is_dropped_not_fatal() {
+        let (kg, lm) = parts();
+        let sys = ServingSystem::builder()
+            .kg(kg)
+            .lm(lm)
+            .workers(2)
+            .batch_size(1)
+            .build()
+            .unwrap();
+        for q in ["a", "b"] {
+            let _ = sys.handle(&ServeRequest::new(q));
+        }
+        sys.run_batch_cycle().unwrap();
+        sys.run_batch_cycle().unwrap();
+        // plant the poisoned query in L2 (a batch cycle would refuse it)
+        let poisoned = sys.current().features.put(StructuredFeatures {
+            query: PANIC_QUERY.to_string(),
+            intents: vec![],
+            subcategory: vec![],
+            strong_intent: None,
+        });
+        sys.current().cache.install(vec![poisoned]);
+        assert_eq!(sys.current().cache.sizes().1, 3);
+        assert_eq!(sys.swap_snapshot(view_of(&KnowledgeGraph::new())), 2);
+        assert_eq!(sys.current().warmed, 2);
+        assert_eq!(sys.current().cache.sizes().1, 2);
+        assert_eq!(
+            sys.handle(&ServeRequest::new("a")).layer,
+            Some(CacheLayer::L2)
+        );
+        assert_eq!(
+            sys.handle(&ServeRequest::new(PANIC_QUERY)).status,
+            ServeStatus::Enqueued,
+            "the dropped chunk's query misses and refills"
+        );
     }
 
     #[test]

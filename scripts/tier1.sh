@@ -17,6 +17,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# every workspace member: the root manifest's default-members covers
+# `.` and `crates/*` (guarded by tests/workspace_manifest.rs)
 cargo test -q
 # workspace invariant linter: SAFETY contracts, unsafe allowlist,
 # total_cmp-only float sorts, no wall clock in deterministic crates,
