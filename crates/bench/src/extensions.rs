@@ -389,7 +389,8 @@ pub enum KgTier {
 /// read paths produce bitwise-identical answers over the store and the
 /// snapshot, then exercises the sharded streaming write path
 /// ([`stream_row`]) up to the tier's largest world. Writes
-/// `BENCH_kg.json` at the repo root and returns the human summary.
+/// `BENCH_kg.json` at the repo root (under `artifacts/` for the smoke
+/// tier) and returns the human summary.
 pub fn kg_scaling(ctx: &Ctx, tier: KgTier) -> String {
     let mut out = String::new();
     let mut json = String::from("{\n  \"sizes\": [\n");
@@ -690,7 +691,11 @@ pub fn kg_scaling(ctx: &Ctx, tier: KgTier) -> String {
          \"serving_identical\": {serving_identical},\n  \
          \"nav_identical\": {nav_identical}\n}}\n"
     );
-    let _ = writeln!(out, "\n{}", write_bench_json("BENCH_kg.json", &json));
+    let _ = writeln!(
+        out,
+        "\n{}",
+        write_bench_json("BENCH_kg.json", &json, tier == KgTier::Smoke)
+    );
     out
 }
 
@@ -1224,7 +1229,7 @@ pub fn nn_scaling(ctx: &Ctx) -> String {
          \"identical_across_threads\": true\n}}\n",
         examples.len()
     );
-    let _ = writeln!(out, "\n{}", write_bench_json("BENCH_nn.json", &json));
+    let _ = writeln!(out, "\n{}", write_bench_json("BENCH_nn.json", &json, false));
     let _ = writeln!(
         out,
         "Every kernel and every thread count produced identical bytes:\n\

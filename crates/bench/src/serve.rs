@@ -11,7 +11,9 @@
 //!   throughput stops improving ≥5% per step, reporting p50/p99 latency
 //!   and drop/reject rates at every point.
 //!
-//! Both write `BENCH_serve.json` for machine consumption.
+//! Both write `BENCH_serve.json` for machine consumption: the full mode at
+//! the repo root, the smoke mode under `artifacts/` (gitignored), so a
+//! gate run never replaces the committed numbers.
 
 use crate::context::Ctx;
 use cosmo_http::{
@@ -24,7 +26,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Stand up the serving system + HTTP server, run the load shape, write
-/// `BENCH_serve.json`, and render the human-readable summary.
+/// `BENCH_serve.json` (under `artifacts/` when `smoke`), and render the
+/// human-readable summary.
 pub fn serve(ctx: &Ctx, smoke: bool) -> String {
     let snapshot = Arc::new(ctx.out.kg.freeze());
 
@@ -165,7 +168,7 @@ pub fn serve(ctx: &Ctx, smoke: bool) -> String {
     let _ = writeln!(
         out,
         "\n{}",
-        crate::output::write_bench_json("BENCH_serve.json", &json)
+        crate::output::write_bench_json("BENCH_serve.json", &json, smoke)
     );
 
     if smoke {
@@ -194,7 +197,8 @@ pub fn serve(ctx: &Ctx, smoke: bool) -> String {
 /// boundary (old graph, new cache, or vice versa) would surface here.
 ///
 /// Smoke mode (the tier-1 gate) runs 3 swaps with 2 client threads; the
-/// full mode runs 10 swaps with 4. Writes `BENCH_serve_swap.json`.
+/// full mode runs 10 swaps with 4. Writes `BENCH_serve_swap.json` (under
+/// `artifacts/` when `smoke`).
 pub fn serve_swap(ctx: &Ctx, smoke: bool) -> String {
     use std::collections::HashMap;
     use std::sync::Mutex;
@@ -361,7 +365,7 @@ pub fn serve_swap(ctx: &Ctx, smoke: bool) -> String {
     let _ = writeln!(
         out,
         "\n{}",
-        crate::output::write_bench_json("BENCH_serve_swap.json", &json)
+        crate::output::write_bench_json("BENCH_serve_swap.json", &json, smoke)
     );
     out
 }

@@ -211,7 +211,7 @@ pub fn annotate(
             let f = &filtered[idx];
             let parsed = f.parsed.as_ref().expect("kept candidates are parsed");
             // ground truth
-            let truth_complete = segment::first_sentence(&f.candidate.raw)
+            let truth_complete = segment::first_sentence_str(&f.candidate.raw)
                 .map(|s| segment::looks_complete(s.trim_end_matches('.')))
                 .unwrap_or(false);
             let j = match f.candidate.behavior {

@@ -21,7 +21,7 @@ use cosmo_nn::ParamStore;
 use cosmo_synth::World;
 use cosmo_teacher::{BehaviorRef, Candidate};
 use cosmo_text::hash::hash_str_ns;
-use cosmo_text::tokenize;
+use cosmo_text::tokenize_spans;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -95,35 +95,52 @@ pub struct CriticExample {
     pub typical: Option<bool>,
 }
 
-/// Hash a candidate's text into critic features.
+/// Hash a candidate's text into critic features. Tokens are spans of one
+/// lowercase buffer, and every composite key (bigram, head × tail,
+/// domain × tail, relation × tail) is written into one reused `String`:
+/// the hashed bytes are those of the `format!`ted keys, without their
+/// allocations.
 pub fn features(world: &World, c: &Candidate, tail: &str, buckets: usize) -> Vec<usize> {
     let mut out = Vec::with_capacity(48);
     let mut push = |h: u64| out.push((h % buckets as u64) as usize);
-    let tail_toks = tokenize(tail);
+    let (mut lower, mut spans) = (String::new(), Vec::new());
+    tokenize_spans(tail, &mut lower, &mut spans);
+    let tail_toks: Vec<&str> = spans
+        .iter()
+        .map(|&(s, e)| &lower[s as usize..e as usize])
+        .collect();
+    let mut key = String::new();
+    let mut hash_joined = |a: &str, sep: char, b: &str, ns: u32| {
+        key.clear();
+        key.push_str(a);
+        key.push(sep);
+        key.push_str(b);
+        hash_str_ns(&key, ns)
+    };
     for t in &tail_toks {
         push(hash_str_ns(t, NS_TAIL_UNI));
     }
     for w in tail_toks.windows(2) {
-        push(hash_str_ns(&format!("{} {}", w[0], w[1]), NS_TAIL_BI));
+        push(hash_joined(w[0], ' ', w[1], NS_TAIL_BI));
     }
-    let heads: Vec<String> = match c.behavior {
-        BehaviorRef::SearchBuy(q, p) => {
-            vec![world.query(q).text.clone(), world.ptype_of(p).base.clone()]
-        }
-        BehaviorRef::CoBuy(p1, p2) => {
-            vec![
-                world.ptype_of(p1).base.clone(),
-                world.ptype_of(p2).base.clone(),
-            ]
-        }
+    let heads: [&str; 2] = match c.behavior {
+        BehaviorRef::SearchBuy(q, p) => [&world.query(q).text, &world.ptype_of(p).base],
+        BehaviorRef::CoBuy(p1, p2) => [&world.ptype_of(p1).base, &world.ptype_of(p2).base],
     };
-    for h in &heads {
-        for t in tokenize(h) {
-            push(hash_str_ns(&t, NS_HEAD_UNI));
+    let (mut head_lower, mut head_spans) = (String::new(), Vec::new());
+    for h in heads {
+        head_lower.clear();
+        head_spans.clear();
+        tokenize_spans(h, &mut head_lower, &mut head_spans);
+        for &(s, e) in &head_spans {
+            push(hash_str_ns(
+                &head_lower[s as usize..e as usize],
+                NS_HEAD_UNI,
+            ));
         }
         // cross features: head base × tail token
         for t in &tail_toks {
-            push(hash_str_ns(&format!("{h}|{t}"), NS_CROSS));
+            push(hash_joined(h, '|', t, NS_CROSS));
         }
     }
     push(hash_str_ns(c.relation.name(), NS_RELATION));
@@ -133,14 +150,8 @@ pub fn features(world: &World, c: &Candidate, tail: &str, buckets: usize) -> Vec
     // hallucinations and relation-incompatible tails, which generalise far
     // beyond the annotated (head, tail) pairs
     for t in &tail_toks {
-        push(hash_str_ns(
-            &format!("{}|{t}", c.domain.name()),
-            NS_DOMAIN_TAIL,
-        ));
-        push(hash_str_ns(
-            &format!("{}|{t}", c.relation.name()),
-            NS_REL_TAIL,
-        ));
+        push(hash_joined(c.domain.name(), '|', t, NS_DOMAIN_TAIL));
+        push(hash_joined(c.relation.name(), '|', t, NS_REL_TAIL));
     }
     out
 }
@@ -409,6 +420,87 @@ pub fn auc(scored: &[(f32, bool)]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original `format!`-keyed feature hashing, kept as the oracle.
+    fn features_oracle(world: &World, c: &Candidate, tail: &str, buckets: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut push = |h: u64| out.push((h % buckets as u64) as usize);
+        let tail_toks = cosmo_text::tokenize(tail);
+        for t in &tail_toks {
+            push(hash_str_ns(t, NS_TAIL_UNI));
+        }
+        for w in tail_toks.windows(2) {
+            push(hash_str_ns(&format!("{} {}", w[0], w[1]), NS_TAIL_BI));
+        }
+        let heads: Vec<String> = match c.behavior {
+            BehaviorRef::SearchBuy(q, p) => {
+                vec![world.query(q).text.clone(), world.ptype_of(p).base.clone()]
+            }
+            BehaviorRef::CoBuy(p1, p2) => vec![
+                world.ptype_of(p1).base.clone(),
+                world.ptype_of(p2).base.clone(),
+            ],
+        };
+        for h in &heads {
+            for t in cosmo_text::tokenize(h) {
+                push(hash_str_ns(&t, NS_HEAD_UNI));
+            }
+            for t in &tail_toks {
+                push(hash_str_ns(&format!("{h}|{t}"), NS_CROSS));
+            }
+        }
+        push(hash_str_ns(c.relation.name(), NS_RELATION));
+        push(hash_str_ns(c.domain.name(), NS_DOMAIN));
+        push(hash_str_ns(c.behavior.kind().name(), NS_BEHAVIOR));
+        for t in &tail_toks {
+            push(hash_str_ns(
+                &format!("{}|{t}", c.domain.name()),
+                NS_DOMAIN_TAIL,
+            ));
+            push(hash_str_ns(
+                &format!("{}|{t}", c.relation.name()),
+                NS_REL_TAIL,
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn features_match_the_format_keyed_oracle() {
+        use cosmo_synth::{BehaviorConfig, BehaviorLog, WorldConfig};
+        use cosmo_teacher::{parse_candidate, Teacher, TeacherConfig};
+        let w = World::generate(WorldConfig::tiny(7));
+        let log = BehaviorLog::generate(&w, &BehaviorConfig::tiny(8));
+        let mut teacher = Teacher::new(&w, TeacherConfig::default());
+        let mut cands = Vec::new();
+        for sb in log.search_buys.iter().take(300) {
+            cands.push(teacher.generate_search_buy(sb.query, sb.product));
+        }
+        for cb in log.cobuys.iter().take(300) {
+            cands.push(teacher.generate_cobuy(cb.p1, cb.p2));
+        }
+        let odd_tails = [
+            "",
+            "Über-Größe straße",
+            "a",
+            "used for the used for",
+            "x-y 'z",
+        ];
+        for (i, c) in cands.iter().enumerate() {
+            let parsed = parse_candidate(&c.raw).map(|p| p.tail).unwrap_or_default();
+            for tail in [
+                parsed.as_str(),
+                c.raw.as_str(),
+                odd_tails[i % odd_tails.len()],
+            ] {
+                assert_eq!(
+                    features(&w, c, tail, 4096),
+                    features_oracle(&w, c, tail, 4096),
+                    "tail={tail:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn auc_of_perfect_separation_is_one() {

@@ -15,10 +15,19 @@
 //! context with the e-commerce embedder and drop tails whose cosine
 //! similarity is above a threshold (Eq. 1): those are "essentially
 //! paraphrases of original user behavior contexts".
+//!
+//! **Cost.** [`CoarseFilter::filter_with`] computes once per call: the
+//! generic-tail statistics and one embedding per *distinct* behaviour
+//! context string (contexts repeat across the many generations of one
+//! behaviour and across behaviours sharing a product). Once per candidate:
+//! the first sentence (a slice of the raw text), the parse, the
+//! completeness and perplexity rules, the echo edit distances, and — for
+//! candidates that reach the similarity filter — one tail embedding and a
+//! cosine per context. Both per-candidate passes fan out over the pool.
 
 use cosmo_exec::WorkerPool;
 use cosmo_synth::World;
-use cosmo_teacher::{parse_candidate, BehaviorRef, Candidate, Parsed};
+use cosmo_teacher::{parse_first_sentence, BehaviorRef, Candidate, Parsed};
 use cosmo_text::distance::edit_distance_bounded;
 use cosmo_text::{segment, FxHashMap, HashedEmbedder, NgramLm, Vocab};
 use serde::{Deserialize, Serialize};
@@ -105,16 +114,39 @@ pub struct CoarseFilter {
     cfg: FilterConfig,
 }
 
+/// One of the two independently fitted filter models.
+enum Fitted {
+    Lm(Vocab, NgramLm),
+    Embedder(HashedEmbedder),
+}
+
 impl CoarseFilter {
-    /// Fit the LM and embedder on the e-commerce corpus.
+    /// Fit the LM and embedder on the e-commerce corpus, one after the
+    /// other on the caller thread.
     pub fn fit(corpus: &[String], cfg: FilterConfig) -> Self {
-        let (vocab, lm) = cosmo_text::ngram::train_lm(corpus, cfg.lm_order);
-        let embedder = HashedEmbedder::fit(corpus, cfg.embed_dim);
-        CoarseFilter {
-            vocab,
-            lm,
-            embedder,
-            cfg,
+        Self::fit_with(corpus, cfg, &WorkerPool::new(1))
+    }
+
+    /// [`CoarseFilter::fit`] with the LM and the embedder fitted side by
+    /// side as two pool jobs. Neither fit reads the other, so the models
+    /// are the same at any thread count.
+    pub fn fit_with(corpus: &[String], cfg: FilterConfig, pool: &WorkerPool) -> Self {
+        let fitted = pool.map(&[(); 2], 1, |job, _| match job {
+            0 => {
+                let (vocab, lm) = cosmo_text::ngram::train_lm(corpus, cfg.lm_order);
+                Fitted::Lm(vocab, lm)
+            }
+            _ => Fitted::Embedder(HashedEmbedder::fit(corpus, cfg.embed_dim)),
+        });
+        let mut fitted = fitted.into_iter();
+        match (fitted.next(), fitted.next()) {
+            (Some(Fitted::Lm(vocab, lm)), Some(Fitted::Embedder(embedder))) => CoarseFilter {
+                vocab,
+                lm,
+                embedder,
+                cfg,
+            },
+            _ => unreachable!("pool.map returns the two jobs in index order"),
         }
     }
 
@@ -134,19 +166,29 @@ impl CoarseFilter {
         self.filter_with(world, candidates, &WorkerPool::new(1))
     }
 
-    /// [`CoarseFilter::filter`], fanning the per-candidate decisions out
-    /// over a worker pool. Pass 1 (corpus-level generic-tail statistics)
-    /// stays sequential; pass 2 decisions are independent per candidate, so
-    /// the index-ordered map yields output identical to the sequential run.
+    /// [`CoarseFilter::filter`], fanning the per-candidate work out over a
+    /// worker pool. Parsing (pass 1) and the decisions (pass 2) are
+    /// independent per candidate and merge index-ordered; the corpus-level
+    /// generic-tail statistics and the gathering of distinct behaviour
+    /// contexts stay sequential. The output is identical at any thread
+    /// count.
     pub fn filter_with(
         &self,
         world: &World,
         candidates: Vec<Candidate>,
         pool: &WorkerPool,
     ) -> Vec<FilteredCandidate> {
-        // Pass 1: parse everything and build tail → head-count stats.
-        let parses: Vec<Option<Parsed>> =
-            candidates.iter().map(|c| parse_candidate(&c.raw)).collect();
+        let chunk = pool.chunk_for(candidates.len());
+        // Pass 1: segment and parse everything, then build tail → head-count
+        // stats.
+        let raws: Vec<&str> = candidates.iter().map(|c| c.raw.as_str()).collect();
+        let (sentences, parses): (Vec<Option<&str>>, Vec<Option<Parsed>>) = pool
+            .map(&raws, chunk, |_, &raw| {
+                let sentence = segment::first_sentence_str(raw);
+                (sentence, sentence.and_then(parse_first_sentence))
+            })
+            .into_iter()
+            .unzip();
         let mut tail_heads: FxHashMap<&str, FxHashMap<u64, u64>> = FxHashMap::default();
         let mut tail_domains: FxHashMap<&str, std::collections::HashSet<u8>> = FxHashMap::default();
         for (c, p) in candidates.iter().zip(parses.iter()) {
@@ -168,7 +210,7 @@ impl CoarseFilter {
                 }
             }
         }
-        let generic_tails: std::collections::HashSet<String> = tail_heads
+        let generic_tails: std::collections::HashSet<&str> = tail_heads
             .iter()
             .filter(|(tail, heads)| {
                 let freq: u64 = heads.values().sum();
@@ -182,17 +224,41 @@ impl CoarseFilter {
                 let counts: Vec<u64> = heads.values().copied().collect();
                 cosmo_text::entropy(&counts) >= self.cfg.generic_min_entropy
             })
-            .map(|(t, _)| t.to_string())
+            .map(|(t, _)| *t)
             .collect();
 
+        // The behaviour contexts repeat across candidates (many
+        // generations per behaviour, popular products in many behaviours):
+        // embed each distinct string once, gathered in first-seen order.
+        let mut context_index: FxHashMap<&str, usize> = FxHashMap::default();
+        let mut distinct: Vec<&str> = Vec::new();
+        for c in &candidates {
+            for ctx in contexts(world, c) {
+                context_index.entry(ctx).or_insert_with(|| {
+                    distinct.push(ctx);
+                    distinct.len() - 1
+                });
+            }
+        }
+        let embedded = pool.map(&distinct, pool.chunk_for(distinct.len()), |_, ctx| {
+            self.embedder.embed(ctx)
+        });
+        let context_vector = |ctx: &str| embedded[context_index[ctx]].as_slice();
+
         // Pass 2: per-candidate decisions, fanned out over the pool.
-        let pairs: Vec<(Candidate, Option<Parsed>)> = candidates.into_iter().zip(parses).collect();
-        let decisions: Vec<FilterDecision> =
-            pool.map(&pairs, pool.chunk_for(pairs.len()), |_, (c, p)| {
-                self.decide(world, c, p.as_ref(), &generic_tails)
-            });
-        pairs
+        let decisions: Vec<FilterDecision> = pool.map(&candidates, chunk, |i, c| {
+            self.decide(
+                world,
+                c,
+                sentences[i],
+                parses[i].as_ref(),
+                &generic_tails,
+                &context_vector,
+            )
+        });
+        candidates
             .into_iter()
+            .zip(parses)
             .zip(decisions)
             .map(|((candidate, parsed), decision)| FilteredCandidate {
                 candidate,
@@ -202,65 +268,71 @@ impl CoarseFilter {
             .collect()
     }
 
-    fn decide(
+    /// One candidate's decision. `sentence` is its first sentence and
+    /// `context_vector` maps each behaviour context to its embedding.
+    fn decide<'a>(
         &self,
         world: &World,
         c: &Candidate,
+        sentence: Option<&str>,
         parsed: Option<&Parsed>,
-        generic_tails: &std::collections::HashSet<String>,
+        generic_tails: &std::collections::HashSet<&str>,
+        context_vector: &impl Fn(&str) -> &'a [f32],
     ) -> FilterDecision {
         // rule 1: completeness
-        let Some(parsed) = parsed else {
-            return FilterDecision::Incomplete;
-        };
-        let Some(sentence) = segment::first_sentence(&c.raw) else {
+        let (Some(parsed), Some(sentence)) = (parsed, sentence) else {
             return FilterDecision::Incomplete;
         };
         if parsed.tail.is_empty() || !segment::looks_complete(sentence.trim_end_matches('.')) {
             return FilterDecision::Incomplete;
         }
         // rule 2: perplexity
-        if self.perplexity(&sentence) > self.cfg.perplexity_threshold {
+        if self.perplexity(sentence) > self.cfg.perplexity_threshold {
             return FilterDecision::HighPerplexity;
         }
         // rule 3: echo of query / product type / title
-        let contexts = self.contexts(world, c);
-        for ctx in &contexts {
-            let close = parsed.tail == *ctx
+        let contexts = contexts(world, c);
+        for &ctx in &contexts {
+            let close = parsed.tail == ctx
                 || edit_distance_bounded(&parsed.tail, ctx, self.cfg.echo_edit_distance).is_some();
             if close {
                 return FilterDecision::Echo;
             }
         }
         // rule 4: generic (frequency × entropy)
-        if generic_tails.contains(&parsed.tail) {
+        if generic_tails.contains(parsed.tail.as_str()) {
             return FilterDecision::Generic;
         }
-        // similarity filter (Eq. 1) — batched: the tail is embedded once and
-        // the context embeddings reuse one scratch buffer (no per-context
-        // allocation), producing the same cosines bitwise.
-        let sims = self.embedder.similarity_many(&parsed.tail, &contexts);
-        if sims.iter().any(|&sim| sim > self.cfg.similarity_threshold) {
+        // similarity filter (Eq. 1): the tail is embedded once and compared
+        // with the stored context embeddings. `embed_into` is deterministic
+        // and `cosine` pure, so these are the cosines `similarity` returns,
+        // bitwise.
+        let tail = self.embedder.embed(&parsed.tail);
+        if contexts.into_iter().any(|ctx| {
+            cosmo_text::cosine(&tail, context_vector(ctx)) > self.cfg.similarity_threshold
+        }) {
             return FilterDecision::Paraphrase;
         }
         FilterDecision::Keep
     }
+}
 
-    /// Behaviour context strings: query text, product titles, type names.
-    fn contexts(&self, world: &World, c: &Candidate) -> Vec<String> {
-        match c.behavior {
-            BehaviorRef::SearchBuy(q, p) => vec![
-                world.query(q).text.clone(),
-                world.product(p).title.clone(),
-                world.ptype_of(p).name.clone(),
-            ],
-            BehaviorRef::CoBuy(p1, p2) => vec![
-                world.product(p1).title.clone(),
-                world.product(p2).title.clone(),
-                world.ptype_of(p1).name.clone(),
-                world.ptype_of(p2).name.clone(),
-            ],
-        }
+/// Behaviour context strings, borrowed from the world: query text and
+/// product title and type name for a search-buy; both titles and both type
+/// names for a co-buy.
+fn contexts<'w>(world: &'w World, c: &Candidate) -> Vec<&'w str> {
+    match c.behavior {
+        BehaviorRef::SearchBuy(q, p) => vec![
+            &world.query(q).text,
+            &world.product(p).title,
+            &world.ptype_of(p).name,
+        ],
+        BehaviorRef::CoBuy(p1, p2) => vec![
+            &world.product(p1).title,
+            &world.product(p2).title,
+            &world.ptype_of(p1).name,
+            &world.ptype_of(p2).name,
+        ],
     }
 }
 
@@ -349,7 +421,7 @@ mod tests {
     use cosmo_synth::{BehaviorConfig, BehaviorLog, WorldConfig};
     use cosmo_teacher::{Provenance, Teacher, TeacherConfig};
 
-    fn filtered_batch() -> Vec<FilteredCandidate> {
+    fn batch_inputs() -> (World, Vec<Candidate>) {
         let w = World::generate(WorldConfig::tiny(41));
         let log = BehaviorLog::generate(&w, &BehaviorConfig::tiny(42));
         let mut teacher = Teacher::new(&w, TeacherConfig::default());
@@ -360,8 +432,52 @@ mod tests {
         for cb in log.cobuys.iter().take(900) {
             cands.push(teacher.generate_cobuy(cb.p1, cb.p2));
         }
+        (w, cands)
+    }
+
+    fn filtered_batch() -> Vec<FilteredCandidate> {
+        let (w, cands) = batch_inputs();
         let filter = CoarseFilter::fit(&cosmo_synth::corpus(&w), FilterConfig::default());
         filter.filter(&w, cands)
+    }
+
+    /// `filter_with` on the fixed batch: the report and a digest of every
+    /// decision and parse, as the per-candidate implementation (similarity
+    /// re-embedding every context, owned token vectors) produced them.
+    #[test]
+    fn filter_golden() {
+        use std::hash::Hasher;
+        let batch = filtered_batch();
+        let r = FilterReport::evaluate(&batch);
+        assert_eq!((r.total, r.kept), (1800, 1028));
+        assert_eq!(r.drops_by_rule, [144, 255, 287, 84, 2]);
+        assert_eq!((r.true_drops, r.typical_dropped, r.junk_kept), (533, 43, 0));
+        let mut h = cosmo_text::FxHasher::default();
+        for f in &batch {
+            h.write(format!("{:?}|{:?}", f.decision, f.parsed).as_bytes());
+        }
+        assert_eq!(h.finish(), 0xe45d88a823ce9767);
+    }
+
+    #[test]
+    fn fit_with_thread_count_does_not_change_decisions() {
+        let (w, cands) = batch_inputs();
+        let corpus = cosmo_synth::corpus(&w);
+        let run = |threads: usize| {
+            let pool = WorkerPool::new(threads);
+            let filter = CoarseFilter::fit_with(&corpus, FilterConfig::default(), &pool);
+            filter
+                .filter_with(&w, cands.clone(), &pool)
+                .into_iter()
+                .map(|f| (f.decision, f.parsed))
+                .collect::<Vec<_>>()
+        };
+        let inline = run(1);
+        assert!(inline.iter().any(|(d, _)| d.kept()));
+        assert!(inline.iter().any(|(d, _)| *d == FilterDecision::Paraphrase));
+        for threads in [2, 4] {
+            assert_eq!(run(threads), inline, "threads={threads}");
+        }
     }
 
     #[test]

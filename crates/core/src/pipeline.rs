@@ -240,8 +240,9 @@ pub fn run_over(world: World, log: BehaviorLog, cfg: &PipelineConfig) -> Pipelin
         stats.add_behavior_pairs(BehaviorKind::CoBuy, world.ptype_of(p1).domain.0, 1);
     }
 
-    // §3.3.1 coarse filtering (per-candidate decisions fan out)
-    let filter = CoarseFilter::fit(&cosmo_synth::corpus(&world), cfg.filter.clone());
+    // §3.3.1 coarse filtering (the two filter models fit side by side;
+    // parsing and per-candidate decisions fan out)
+    let filter = CoarseFilter::fit_with(&cosmo_synth::corpus(&world), cfg.filter.clone(), &pool);
     let filtered = filter.filter_with(&world, candidates, &pool);
     report.kept_after_filter = filtered.iter().filter(|f| f.decision.kept()).count();
     report.filter = FilterReport::evaluate(&filtered);

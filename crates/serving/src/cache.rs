@@ -344,14 +344,18 @@ impl CacheStore {
 
     /// Batch-processor write path: install computed features into the
     /// owning L2 shards, evicting the oldest entries beyond each shard's
-    /// capacity.
-    pub fn install(&self, features: Vec<Arc<StructuredFeatures>>) {
+    /// capacity. Returns the evicted entries that are no longer cached:
+    /// not re-installed later in this call and not held by L1. The caller
+    /// drops them from its feature store, which then stays bounded by
+    /// L1 ∪ L2.
+    pub fn install(&self, features: Vec<Arc<StructuredFeatures>>) -> Vec<Arc<StructuredFeatures>> {
         let mut by_shard: Vec<Vec<Arc<StructuredFeatures>>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         for f in features {
             let idx = (hash_str_ns(&f.query, SHARD_NS) % self.shards.len() as u64) as usize;
             by_shard[idx].push(f); // PANIC: idx is hash mod len of this very vec
         }
+        let mut gone = Vec::new();
         for (idx, batch) in by_shard.into_iter().enumerate() {
             if batch.is_empty() {
                 continue;
@@ -368,19 +372,27 @@ impl CacheStore {
                     let Some(oldest) = l2.order.pop_front() else {
                         break;
                     };
-                    l2.map.remove(&oldest);
-                    evicted.push(oldest);
+                    if let Some(entry) = l2.map.remove(&oldest) {
+                        evicted.push(entry);
+                    }
                 }
             }
             if !evicted.is_empty() {
                 // l2-then-hits, the read path's order: an evicted key's
                 // count goes with it, so the map stays bounded by L2.
                 let mut hits = shard.hits.lock();
-                for key in &evicted {
-                    hits.remove(key);
+                for entry in &evicted {
+                    hits.remove(&entry.query);
                 }
+                evicted.retain(|entry| !l2.map.contains_key(&entry.query));
+                gone.append(&mut evicted);
             }
         }
+        if !gone.is_empty() {
+            let l1 = Arc::clone(&self.l1.read());
+            gone.retain(|entry| !l1.contains_key(&entry.query));
+        }
+        gone
     }
 
     /// Every L2 query, shard by shard (ascending index), each shard in
@@ -659,6 +671,34 @@ mod tests {
         cache.install(vec![Arc::new(feat("c")), Arc::new(feat("d"))]);
         assert_eq!(cache.sizes().1, 2);
         assert!(cache.get("d").is_some());
+    }
+
+    #[test]
+    fn install_reports_only_entries_no_longer_cached() {
+        let cfg = CacheConfig {
+            shards: 1,
+            l2_capacity: 2,
+            ..CacheConfig::default()
+        };
+        let cache = CacheStore::new(vec![feat("l1")], cfg);
+        let queries = |gone: Vec<Arc<StructuredFeatures>>| -> Vec<String> {
+            gone.iter().map(|f| f.query.clone()).collect()
+        };
+        assert!(cache
+            .install(vec![Arc::new(feat("a")), Arc::new(feat("b"))])
+            .is_empty());
+        assert_eq!(queries(cache.install(vec![Arc::new(feat("c"))])), ["a"]);
+        // "b" is evicted by "d" and re-installed right after: still cached
+        let gone = cache.install(vec![
+            Arc::new(feat("d")),
+            Arc::new(feat("b")),
+            Arc::new(feat("e")),
+        ]);
+        assert_eq!(queries(gone), ["c", "d"]);
+        // an L1 query that also sat in L2 stays cached when L2 drops it
+        assert_eq!(queries(cache.install(vec![Arc::new(feat("l1"))])), ["b"]);
+        let gone = cache.install(vec![Arc::new(feat("f")), Arc::new(feat("g"))]);
+        assert_eq!(queries(gone), ["e"], "l1 left L2 but is still in L1");
     }
 
     #[test]

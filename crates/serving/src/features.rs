@@ -196,6 +196,18 @@ impl FeatureStore {
         self.shard_of(query).read().get(query).cloned()
     }
 
+    /// Remove `entry`'s query if the store still holds this very entry
+    /// (not a newer one `put` since).
+    pub fn remove_entry(&self, entry: &Arc<StructuredFeatures>) {
+        let mut shard = self.shard_of(&entry.query).write();
+        if shard
+            .get(&entry.query)
+            .is_some_and(|held| Arc::ptr_eq(held, entry))
+        {
+            shard.remove(&entry.query);
+        }
+    }
+
     /// Number of stored queries (summed across shards).
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()
@@ -272,6 +284,19 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert!(store.get("camping").is_some());
         assert!(store.get("missing").is_none());
+    }
+
+    #[test]
+    fn remove_entry_keeps_a_newer_put() {
+        let store = FeatureStore::new();
+        let kg = KnowledgeGraph::new();
+        let model = lm();
+        let old = store.put(compute_features("q", &kg, &model));
+        let newer = store.put(compute_features("q", &kg, &model));
+        store.remove_entry(&old);
+        assert!(store.get("q").is_some_and(|f| Arc::ptr_eq(&f, &newer)));
+        store.remove_entry(&newer);
+        assert!(store.is_empty());
     }
 
     #[test]

@@ -401,7 +401,9 @@ impl ServingSystem {
             if let ChunkResult::Computed { results, .. } = outcome {
                 warmed += results.len();
                 let arcs = results.into_iter().map(|f| next.features.put(f)).collect();
-                next.cache.install(arcs);
+                for gone in next.cache.install(arcs) {
+                    next.features.remove_entry(&gone);
+                }
             }
         }
         warmed
@@ -551,7 +553,9 @@ impl ServingSystem {
                         arcs.push(generation.features.put(f));
                     }
                     installed += arcs.len();
-                    generation.cache.install(arcs);
+                    for gone in generation.cache.install(arcs) {
+                        generation.features.remove_entry(&gone);
+                    }
                 }
                 ChunkResult::Panicked { start, len } => {
                     failed_chunks += 1;
@@ -946,6 +950,43 @@ mod tests {
         }
         let ops = sys.ops();
         assert_eq!((ops.l2_hits, ops.misses), (3, 0));
+    }
+
+    #[test]
+    fn feature_store_stays_bounded_by_the_cache() {
+        let kg = kg_of(&[("tent", "sleeping outdoors")]);
+        let (_, lm) = parts();
+        let l2_capacity = 16;
+        let sys = ServingSystem::builder()
+            .view(view_of(&kg))
+            .lm(lm)
+            .preload(["tent", "hot query"])
+            .l2_capacity(l2_capacity)
+            .shards(4)
+            .batch_size(8)
+            .workers(2)
+            .build()
+            .unwrap();
+        let check = |generation: &SnapshotGeneration| {
+            let (l1, l2) = generation.cache.sizes();
+            assert_eq!((l1, l2), (2, l2_capacity));
+            assert_eq!(generation.features.len(), l1 + l2, "store holds L1 ∪ L2");
+            for q in generation.cache.l2_queries().iter().map(String::as_str) {
+                assert!(generation.features.get(q).is_some(), "{q}");
+            }
+            for q in ["tent", "hot query"] {
+                assert!(generation.features.get(q).is_some(), "{q}");
+            }
+        };
+        for i in 0..10 * l2_capacity {
+            let _ = sys.handle(&ServeRequest::new(format!("query {i}")));
+            if i % 8 == 7 {
+                sys.run_batch_cycle().unwrap();
+            }
+        }
+        check(&sys.current());
+        sys.swap_snapshot(view_of(&kg));
+        check(&sys.current());
     }
 
     #[test]

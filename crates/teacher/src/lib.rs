@@ -23,4 +23,6 @@ pub use generate::{
     relation_from_text, BehaviorRef, Candidate, Provenance, QualityMixture, Teacher, TeacherConfig,
 };
 pub use prompts::{cobuy_prompt, parse_generation, search_buy_prompt, Prompt};
-pub use relations::{mine_relations, parse_candidate, render_table2, MinedPattern, Parsed};
+pub use relations::{
+    mine_relations, parse_candidate, parse_first_sentence, render_table2, MinedPattern, Parsed,
+};

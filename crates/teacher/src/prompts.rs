@@ -70,13 +70,13 @@ pub fn cobuy_prompt(title1: &str, title2: &str, relation: Relation) -> Prompt {
 /// first sentence, minus list markers. Returns `None` when the generation
 /// contains no sentence material.
 pub fn parse_generation(raw: &str) -> Option<String> {
-    let first = segment::first_sentence(raw)?;
-    let trimmed = first.trim_end_matches(['.', '!', '?']).trim().to_string();
-    if trimmed.is_empty() {
-        None
-    } else {
-        Some(trimmed)
-    }
+    trim_sentence(segment::first_sentence_str(raw)?).map(str::to_string)
+}
+
+/// The tail material of a first sentence: trailing terminators and
+/// surrounding whitespace removed; `None` when nothing is left.
+pub(crate) fn trim_sentence(first: &str) -> Option<&str> {
+    Some(first.trim_end_matches(['.', '!', '?']).trim()).filter(|s| !s.is_empty())
 }
 
 #[cfg(test)]

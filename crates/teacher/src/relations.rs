@@ -11,7 +11,7 @@
 
 use crate::generate::Candidate;
 use cosmo_kg::{Relation, TailType};
-use cosmo_text::{tokenize, FxHashMap};
+use cosmo_text::{segment, tokenize, tokenize_spans, FxHashMap};
 
 /// A mined predicate pattern with its frequency and canonical relation.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,8 +58,23 @@ pub struct Parsed {
 /// (§3.1: "generations with different prepositions represent different
 /// tail types, which can be further canonicalized").
 pub fn parse_candidate(raw: &str) -> Option<Parsed> {
-    let sentence = crate::prompts::parse_generation(raw)?;
-    let joined = tokenize(&sentence).join(" ");
+    parse_first_sentence(segment::first_sentence_str(raw)?)
+}
+
+/// [`parse_candidate`] for a generation whose first sentence
+/// ([`segment::first_sentence_str`]) is already extracted. The sentence is
+/// tokenised once and its tokens joined into one string.
+pub fn parse_first_sentence(first: &str) -> Option<Parsed> {
+    let sentence = crate::prompts::trim_sentence(first)?;
+    let (mut lower, mut spans) = (String::new(), Vec::new());
+    tokenize_spans(sentence, &mut lower, &mut spans);
+    let mut joined = String::with_capacity(lower.len() + spans.len());
+    for &(s, e) in &spans {
+        if !joined.is_empty() {
+            joined.push(' ');
+        }
+        joined.push_str(&lower[s as usize..e as usize]);
+    }
     for (p, r) in PATTERNS {
         if let Some(pos) = joined.find(p) {
             let tail = joined[pos + p.len()..].trim();
@@ -189,6 +204,86 @@ mod tests {
         assert!(table.contains("USED_FOR_FUNC"));
         assert!(table.contains("xWant"));
     }
+
+    /// The original formulation: owned first sentence, owned token
+    /// vector, joined with `join`.
+    fn parse_candidate_oracle(raw: &str) -> Option<Parsed> {
+        let first = cosmo_text::first_sentence(raw)?;
+        let sentence = first.trim_end_matches(['.', '!', '?']).trim().to_string();
+        if sentence.is_empty() {
+            return None;
+        }
+        let joined = tokenize(&sentence).join(" ");
+        for (p, r) in PATTERNS {
+            if let Some(pos) = joined.find(p) {
+                let tail = joined[pos + p.len()..].trim();
+                return Some(Parsed {
+                    tail: cosmo_text::canonicalize_tail(tail),
+                    relation_hint: Some(*r),
+                });
+            }
+        }
+        Some(Parsed {
+            tail: cosmo_text::canonicalize_tail(&joined),
+            relation_hint: None,
+        })
+    }
+
+    #[test]
+    fn parse_matches_the_owned_formulation_on_random_text() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const PIECES: &[&str] = &[
+            "1.", "2)", "-", "they", "are", "used", "for", "form", "capable", "of", "is", "a",
+            "this", "analysis", "by", "in", "Über", "\u{130}x", "dogs", ".", "!", "?", "\n", "Mr.",
+            "2.5", ",", "'", "used-for",
+        ];
+        let mut rng = StdRng::seed_from_u64(0xFA75E);
+        for _ in 0..20_000 {
+            let n = rng.gen_range(0..14);
+            let mut raw = String::new();
+            for _ in 0..n {
+                raw.push_str(PIECES[rng.gen_range(0..PIECES.len())]);
+                if rng.gen_range(0..4) > 0 {
+                    raw.push(' ');
+                }
+            }
+            assert_eq!(
+                parse_candidate(&raw),
+                parse_candidate_oracle(&raw),
+                "raw={raw:?}"
+            );
+        }
+    }
+
+    /// Parses and canonical tails of the teacher's own generations, pinned
+    /// to the digest the token-vector implementations produced.
+    #[test]
+    fn parses_of_teacher_generations_are_pinned() {
+        use std::hash::Hasher;
+        let w = World::generate(WorldConfig::tiny(21));
+        let log = BehaviorLog::generate(&w, &BehaviorConfig::tiny(22));
+        let mut teacher = Teacher::new(&w, TeacherConfig::default());
+        let mut h = cosmo_text::FxHasher::default();
+        let mut parsed = 0;
+        for sb in log.search_buys.iter().take(800) {
+            let c = teacher.generate_search_buy(sb.query, sb.product);
+            let p = parse_candidate(&c.raw);
+            assert_eq!(p, parse_candidate_oracle(&c.raw), "raw={:?}", c.raw);
+            parsed += usize::from(p.is_some());
+            h.write(format!("{p:?}|{}", cosmo_text::canonicalize_tail(&c.raw)).as_bytes());
+        }
+        for cb in log.cobuys.iter().take(800) {
+            let c = teacher.generate_cobuy(cb.p1, cb.p2);
+            let p = parse_candidate(&c.raw);
+            assert_eq!(p, parse_candidate_oracle(&c.raw), "raw={:?}", c.raw);
+            parsed += usize::from(p.is_some());
+            h.write(format!("{p:?}|{}", cosmo_text::canonicalize_tail(&c.raw)).as_bytes());
+        }
+        assert_eq!((parsed, h.finish()), PINNED_PARSES);
+    }
+
+    const PINNED_PARSES: (usize, u64) = (1600, 0xe79290d7ba621968);
 
     #[test]
     fn canonical_relation_is_total_over_patterns() {

@@ -12,9 +12,7 @@
 //! continuations of history `h`. The base case is a uniform-smoothed unigram.
 
 use crate::hash::FxHashMap;
-#[cfg(test)]
-use crate::vocab::EOS;
-use crate::vocab::{Vocab, BOS};
+use crate::vocab::{Vocab, BOS, EOS};
 
 /// Key for an n-gram history: the history token ids packed into a `u64`
 /// hash. We additionally store the raw length to namespace different orders.
@@ -155,9 +153,20 @@ impl NgramLm {
     }
 
     /// Convenience: tokenize, encode with `vocab`, and return perplexity.
+    /// Tokens are looked up as spans of one lowercase buffer, so no
+    /// per-token `String` is built.
     pub fn perplexity_str(&self, text: &str, vocab: &Vocab) -> f64 {
-        let toks = crate::tokenize::tokenize(text);
-        let ids = vocab.encode_sentence(&toks);
+        let mut lower = String::new();
+        let mut spans = Vec::new();
+        crate::tokenize::tokenize_spans(text, &mut lower, &mut spans);
+        let mut ids = Vec::with_capacity(spans.len() + 2);
+        ids.push(BOS);
+        ids.extend(
+            spans
+                .iter()
+                .map(|&(s, e)| vocab.get(&lower[s as usize..e as usize])),
+        );
+        ids.push(EOS);
         self.perplexity(&ids)
     }
 
@@ -167,29 +176,30 @@ impl NgramLm {
     }
 }
 
-/// Train a vocabulary and n-gram LM jointly from raw sentences.
+/// Train a vocabulary and n-gram LM jointly from raw sentences, in one
+/// pass: vocabulary ids are append-only, so the id a token gets when it is
+/// added is the id encoding with the finished vocabulary would give it.
 pub fn train_lm(sentences: &[String], order: usize) -> (Vocab, NgramLm) {
     let mut vocab = Vocab::new();
-    let mut encoded = Vec::with_capacity(sentences.len());
-    for s in sentences {
-        let toks = crate::tokenize::tokenize(s);
-        for t in &toks {
-            vocab.add(t);
-        }
-        encoded.push(toks);
-    }
     let mut lm = NgramLm::new(order);
-    for toks in &encoded {
-        let ids = vocab.encode_sentence(toks);
+    let (mut lower, mut spans, mut ids) = (String::new(), Vec::new(), Vec::new());
+    for s in sentences {
+        lower.clear();
+        spans.clear();
+        crate::tokenize::tokenize_spans(s, &mut lower, &mut spans);
+        ids.clear();
+        ids.push(BOS);
+        ids.extend(
+            spans
+                .iter()
+                .map(|&(s, e)| vocab.add(&lower[s as usize..e as usize])),
+        );
+        ids.push(EOS);
         lm.observe(&ids);
     }
     lm.set_vocab_size(vocab.len());
     (vocab, lm)
 }
-
-// EOS is used by tests below; silence unused warning in non-test builds.
-#[allow(unused_imports)]
-use crate::vocab::UNK as _UNK_FOR_DOCS;
 
 #[cfg(test)]
 mod tests {
@@ -262,6 +272,59 @@ mod tests {
         let (vocab3, lm3) = train_lm(&sents, 3);
         let s = "they are used for camping in the mountains";
         assert!(lm3.perplexity_str(s, &vocab3) < lm1.perplexity_str(s, &vocab1));
+    }
+
+    /// The original two-pass trainer: intern every token of every
+    /// sentence, then encode each sentence with the finished vocabulary.
+    fn train_lm_oracle(sentences: &[String], order: usize) -> (Vocab, NgramLm) {
+        let mut vocab = Vocab::new();
+        let mut encoded = Vec::with_capacity(sentences.len());
+        for s in sentences {
+            let toks = crate::tokenize::tokenize(s);
+            for t in &toks {
+                vocab.add(t);
+            }
+            encoded.push(toks);
+        }
+        let mut lm = NgramLm::new(order);
+        for toks in &encoded {
+            lm.observe(&vocab.encode_sentence(toks));
+        }
+        lm.set_vocab_size(vocab.len());
+        (vocab, lm)
+    }
+
+    #[test]
+    fn one_pass_training_and_span_scoring_match_the_token_vector_path() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const WORDS: &[&str] = &[
+            "they", "are", "used", "for", "camping", "hiking", "the", "dog", "Über", "it's",
+            "4-person", "of", ",", ".", "capable", "zzz", "\u{130}x",
+        ];
+        let mut rng = StdRng::seed_from_u64(0x1A);
+        let sentence = |rng: &mut StdRng| {
+            let n = rng.gen_range(0..10);
+            (0..n)
+                .map(|_| WORDS[rng.gen_range(0..WORDS.len())])
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let mut sentences: Vec<String> = (0..300).map(|_| sentence(&mut rng)).collect();
+        sentences.extend(corpus());
+        let (vocab, lm) = train_lm(&sentences, 3);
+        let (oracle_vocab, oracle_lm) = train_lm_oracle(&sentences, 3);
+        assert_eq!(vocab.len(), oracle_vocab.len());
+        assert_eq!(lm.table_sizes(), oracle_lm.table_sizes());
+        for _ in 0..2_000 {
+            let text = sentence(&mut rng);
+            let old = oracle_lm
+                .perplexity(&oracle_vocab.encode_sentence(&crate::tokenize::tokenize(&text)));
+            let new = lm.perplexity_str(&text, &vocab);
+            assert_eq!(new.to_bits(), old.to_bits(), "text={text:?}");
+            let encoded = lm.perplexity(&vocab.encode_sentence(&crate::tokenize::tokenize(&text)));
+            assert_eq!(new.to_bits(), encoded.to_bits(), "text={text:?}");
+        }
     }
 
     #[test]

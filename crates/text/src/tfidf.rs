@@ -23,22 +23,41 @@ impl TfIdf {
     /// Observe one document given as a token slice; each distinct token's
     /// document frequency is incremented once.
     pub fn observe_doc(&mut self, tokens: &[String]) {
+        self.observe_tokens(tokens.len(), |i| &tokens[i]);
+    }
+
+    /// Observe one document of `n` tokens, `token(i)` being the `i`-th. A
+    /// token's key is allocated only the first time the corpus shows it.
+    fn observe_tokens<'t>(&mut self, n: usize, token: impl Fn(usize) -> &'t str) {
         self.num_docs += 1;
-        let mut seen: Vec<&str> = Vec::with_capacity(tokens.len());
-        for t in tokens {
-            if !seen.contains(&t.as_str()) {
-                seen.push(t);
-                *self.doc_freq.entry(t.clone()).or_insert(0) += 1;
+        for i in 0..n {
+            let t = token(i);
+            if (0..i).any(|j| token(j) == t) {
+                continue; // counted once per document
+            }
+            match self.doc_freq.get_mut(t) {
+                Some(df) => *df += 1,
+                None => {
+                    self.doc_freq.insert(t.to_string(), 1);
+                }
             }
         }
     }
 
-    /// Train from raw strings.
+    /// Train from raw strings, tokenising each through one reused span
+    /// buffer.
     pub fn fit(corpus: &[String]) -> Self {
         let mut s = Self::new();
+        let (mut lower, mut spans) = (String::new(), Vec::new());
         for doc in corpus {
-            let toks = crate::tokenize::tokenize(doc);
-            s.observe_doc(&toks);
+            lower.clear();
+            spans.clear();
+            crate::tokenize::tokenize_spans(doc, &mut lower, &mut spans);
+            let (lower, spans) = (&lower, &spans);
+            s.observe_tokens(spans.len(), |i| {
+                let (a, b) = spans[i];
+                &lower[a as usize..b as usize]
+            });
         }
         s
     }
@@ -110,6 +129,50 @@ mod tests {
         assert!(x > 0.0 && y > 0.0);
         // x appears twice in the doc; tf doubles its weight relative to its idf
         assert!(x / stats.idf("x") > y / stats.idf("y"));
+    }
+
+    #[test]
+    fn span_fit_matches_the_token_vector_formulation() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const WORDS: &[&str] = &["used", "for", "camping", "Über", "x", "it's", "-", "a-b"];
+        let mut rng = StdRng::seed_from_u64(0x1DF);
+        let corpus: Vec<String> = (0..500)
+            .map(|_| {
+                let n = rng.gen_range(0..8);
+                (0..n)
+                    .map(|_| WORDS[rng.gen_range(0..WORDS.len())])
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect();
+        let fitted = TfIdf::fit(&corpus);
+        // the original formulation: one owned token vector per document,
+        // deduplicated with a seen-list, every token key cloned
+        let mut oracle = TfIdf::new();
+        for doc in &corpus {
+            oracle.num_docs += 1;
+            let toks = crate::tokenize::tokenize(doc);
+            let mut seen: Vec<&str> = Vec::new();
+            for t in &toks {
+                if !seen.contains(&t.as_str()) {
+                    seen.push(t);
+                    *oracle.doc_freq.entry(t.clone()).or_insert(0) += 1;
+                }
+            }
+        }
+        assert_eq!(fitted.num_docs(), oracle.num_docs());
+        assert_eq!(fitted.doc_freq, oracle.doc_freq);
+        for doc in &corpus {
+            for t in crate::tokenize::tokenize(doc) {
+                assert_eq!(fitted.idf(&t).to_bits(), oracle.idf(&t).to_bits(), "{t}");
+            }
+        }
+        let mut via_observe = TfIdf::new();
+        for doc in &corpus {
+            via_observe.observe_doc(&crate::tokenize::tokenize(doc));
+        }
+        assert_eq!(via_observe.doc_freq, oracle.doc_freq);
     }
 
     #[test]

@@ -28,6 +28,16 @@ fn is_joiner(c: char) -> bool {
 /// wrappers that materialise owned `String`s from the spans, so the token
 /// *text* produced by every path is identical by construction.
 pub fn tokenize_spans(text: &str, lower: &mut String, spans: &mut Vec<(u32, u32)>) {
+    if text.is_ascii() {
+        tokenize_spans_ascii(text.as_bytes(), lower, spans);
+    } else {
+        tokenize_spans_chars(text, lower, spans);
+    }
+}
+
+/// The general path: Unicode lowercasing (which may change a char's byte
+/// length) and Unicode alphanumerics.
+fn tokenize_spans_chars(text: &str, lower: &mut String, spans: &mut Vec<(u32, u32)>) {
     let mut start = lower.len() as u32;
     let mut it = text.chars().peekable();
     while let Some(c) = it.next() {
@@ -40,6 +50,29 @@ pub fn tokenize_spans(text: &str, lower: &mut String, spans: &mut Vec<(u32, u32)
             && it.peek().is_some_and(|&next| is_token_char(next))
         {
             lower.push(c);
+        } else if lower.len() as u32 > start {
+            spans.push((start, lower.len() as u32));
+            start = lower.len() as u32;
+        }
+    }
+    if lower.len() as u32 > start {
+        spans.push((start, lower.len() as u32));
+    }
+}
+
+/// [`tokenize_spans_chars`] for ASCII text, byte by byte: for ASCII,
+/// `char::is_alphanumeric` and `char::to_lowercase` are their `ascii`
+/// counterparts, so the output is the same.
+fn tokenize_spans_ascii(text: &[u8], lower: &mut String, spans: &mut Vec<(u32, u32)>) {
+    let mut start = lower.len() as u32;
+    for (i, &b) in text.iter().enumerate() {
+        if b.is_ascii_alphanumeric() {
+            lower.push(b.to_ascii_lowercase() as char);
+        } else if (b == b'\'' || b == b'-')
+            && lower.len() as u32 > start
+            && text.get(i + 1).is_some_and(u8::is_ascii_alphanumeric)
+        {
+            lower.push(b as char);
         } else if lower.len() as u32 > start {
             spans.push((start, lower.len() as u32));
             start = lower.len() as u32;
@@ -148,6 +181,25 @@ mod tests {
                 .map(|&(s, e)| &lower[s as usize..e as usize])
                 .collect();
             assert_eq!(from_spans, tokenize(text), "text={text:?}");
+        }
+    }
+
+    #[test]
+    fn ascii_fast_path_matches_char_path() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const ALPHABET: &[u8] = b"aZq09 -'\t\n.,!?-'xY";
+        let mut rng = StdRng::seed_from_u64(0xA5C11);
+        for _ in 0..20_000 {
+            let len = rng.gen_range(0..32);
+            let text: String = (0..len)
+                .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())] as char)
+                .collect();
+            let (mut fast, mut fast_spans) = (String::from("x"), vec![(0, 1)]);
+            tokenize_spans_ascii(text.as_bytes(), &mut fast, &mut fast_spans);
+            let (mut slow, mut slow_spans) = (String::from("x"), vec![(0, 1)]);
+            tokenize_spans_chars(&text, &mut slow, &mut slow_spans);
+            assert_eq!((fast, fast_spans), (slow, slow_spans), "text={text:?}");
         }
     }
 
